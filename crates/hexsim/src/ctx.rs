@@ -4,7 +4,9 @@
 //! that corresponds to an NPU instruction or engine transfer both *executes*
 //! it functionally (bytes really move, lanes really compute) and *charges*
 //! its cost, so the latency figures reported by the benchmark harness are
-//! derived from the same code path the correctness tests exercise.
+//! derived from the same code path the correctness tests exercise. In
+//! [`ExecMode::CostOnly`] the charges are identical but the pure lane
+//! operations compute nothing: their result registers read as zero.
 //!
 //! Cost conventions (see `crates/hexsim/src/cost.rs`):
 //! - compute instructions charge packets (1 vector-clock cycle each, except
@@ -31,6 +33,12 @@ pub enum ExecMode {
     /// Shape-level simulation: DDR buffers track sizes only and
     /// [`NpuContext::replay`] extrapolates one representative block's cost.
     /// Use for paper-scale latency sweeps.
+    ///
+    /// Cost-only mode prices shapes, not values. It computes no lane
+    /// values: every pure lane operation charges exactly as in
+    /// [`ExecMode::Functional`] and returns all-zero registers, and DDR
+    /// reads return zeros. Kernel control flow and charges must therefore
+    /// never depend on a lane value.
     CostOnly,
 }
 
@@ -399,6 +407,15 @@ impl NpuContext {
     // Vector compute operations (each charges 1 packet unless noted).
     // ------------------------------------------------------------------
 
+    /// Evaluates a pure lane result `f` in functional mode. Cost-only mode
+    /// never reads lane values, so it skips `f` and yields zero registers.
+    fn lanes<T: Default>(&self, f: impl FnOnce() -> T) -> T {
+        match self.mode {
+            ExecMode::Functional => f(),
+            ExecMode::CostOnly => T::default(),
+        }
+    }
+
     /// Broadcast an FP16 scalar to all 64 half-float lanes.
     pub fn vsplat_hf(&mut self, v: F16) -> HvxVec {
         self.cost.charge_hvx_packets(1);
@@ -415,31 +432,31 @@ impl NpuContext {
     /// [`NpuContext::vconv_qf16`] before storing or bit-reinterpreting.
     pub fn vadd_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_hf(a, b, |x, y| x.add(y))
+        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.add(y)))
     }
 
     /// Elementwise FP16 subtract (qfloat result pre-V79).
     pub fn vsub_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_hf(a, b, |x, y| x.sub(y))
+        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.sub(y)))
     }
 
     /// Elementwise FP16 multiply (qfloat result pre-V79).
     pub fn vmpy_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_hf(a, b, |x, y| x.mul(y))
+        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.mul(y)))
     }
 
     /// Elementwise FP16 max (IEEE semantics, NaN loses).
     pub fn vmax_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_hf(a, b, |x, y| x.max(y))
+        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.max(y)))
     }
 
     /// Elementwise FP16 min.
     pub fn vmin_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_hf(a, b, |x, y| x.min(y))
+        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.min(y)))
     }
 
     /// Converts a qfloat-format register to IEEE FP16. Charges the
@@ -456,92 +473,92 @@ impl NpuContext {
     /// Elementwise FP32 add over 32 word lanes.
     pub fn vadd_sf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_sf(a, b, |x, y| x + y)
+        self.lanes(|| hvx::map2_sf(a, b, |x, y| x + y))
     }
 
     /// Elementwise FP32 multiply over 32 word lanes.
     pub fn vmpy_sf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_sf(a, b, |x, y| x * y)
+        self.lanes(|| hvx::map2_sf(a, b, |x, y| x * y))
     }
 
     /// Widens 64 FP16 lanes to an FP32 register pair.
     pub fn vcvt_hf_sf(&mut self, v: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
-        hvx::vcvt_hf_sf(v)
+        self.lanes(|| hvx::vcvt_hf_sf(v))
     }
 
     /// Narrows an FP32 register pair to 64 FP16 lanes (RTNE).
     pub fn vcvt_sf_hf(&mut self, lo: &HvxVec, hi: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::vcvt_sf_hf(lo, hi)
+        self.lanes(|| hvx::vcvt_sf_hf(lo, hi))
     }
 
     /// Converts signed 16-bit integer lanes to FP16 (qfloat pre-V79).
     pub fn vcvt_h_hf(&mut self, v: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::vcvt_h_hf(v)
+        self.lanes(|| hvx::vcvt_h_hf(v))
     }
 
     /// Sign-extends byte lanes to halfword lanes (register pair).
     pub fn vunpack_b_h(&mut self, v: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
-        hvx::vunpack_b_h(v)
+        self.lanes(|| hvx::vunpack_b_h(v))
     }
 
     /// Zero-extends byte lanes to halfword lanes (register pair).
     pub fn vunpack_ub_h(&mut self, v: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
-        hvx::vunpack_ub_h(v)
+        self.lanes(|| hvx::vunpack_ub_h(v))
     }
 
     /// Bitwise AND of byte lanes.
     pub fn vand_b(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_b(a, b, |x, y| x & y)
+        self.lanes(|| hvx::map2_b(a, b, |x, y| x & y))
     }
 
     /// Bitwise OR of byte lanes.
     pub fn vor_b(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_b(a, b, |x, y| x | y)
+        self.lanes(|| hvx::map2_b(a, b, |x, y| x | y))
     }
 
     /// Byte-lane subtract with wrapping (used for the INT4 bias of 8).
     pub fn vsub_b(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_b(a, b, |x, y| x.wrapping_sub(y))
+        self.lanes(|| hvx::map2_b(a, b, |x, y| x.wrapping_sub(y)))
     }
 
     /// Logical shift right of byte lanes.
     pub fn vshr_b(&mut self, v: &HvxVec, n: u32) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::vshr_b(v, n)
+        self.lanes(|| hvx::vshr_b(v, n))
     }
 
     /// Logical shift right of halfword lanes.
     pub fn vshr_h(&mut self, v: &HvxVec, n: u32) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::vshr_h(v, n)
+        self.lanes(|| hvx::vshr_h(v, n))
     }
 
     /// Logical shift left of halfword lanes.
     pub fn vshl_h(&mut self, v: &HvxVec, n: u32) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::vshl_h(v, n)
+        self.lanes(|| hvx::vshl_h(v, n))
     }
 
     /// Interleaves halfword lanes of two registers (cross-lane shuffle used
     /// for the HMX two-row layout, paper Figure 4a).
     pub fn vshuff_h(&mut self, a: &HvxVec, b: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
-        hvx::vshuff_h(a, b)
+        self.lanes(|| hvx::vshuff_h(a, b))
     }
 
     /// Deinterleaves halfword lanes (inverse of [`NpuContext::vshuff_h`]).
     pub fn vdeal_h(&mut self, lo: &HvxVec, hi: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
-        hvx::vdeal_h(lo, hi)
+        self.lanes(|| hvx::vdeal_h(lo, hi))
     }
 
     /// `vlut16` with an FP16 table: 128 byte indices -> 128 FP16 lanes as a
@@ -549,8 +566,10 @@ impl NpuContext {
     /// IEEE FP16 directly — no qfloat conversion needed.
     pub fn vlut16_hf(&mut self, idx: &HvxVec, table: &[F16; 16]) -> (HvxVec, HvxVec) {
         self.cost.charge_vlut16();
-        let raw: [u16; 16] = std::array::from_fn(|i| table[i].0);
-        hvx::vlut16(idx, &raw)
+        self.lanes(|| {
+            let raw: [u16; 16] = std::array::from_fn(|i| table[i].0);
+            hvx::vlut16(idx, &raw)
+        })
     }
 
     /// Charges explicit pipeline-stall cycles (used to model the sequential
@@ -625,6 +644,9 @@ impl NpuContext {
     ///
     /// The closure must be cost-deterministic (identical charges on every
     /// invocation) — true for the data-independent kernels in this project.
+    /// In cost-only mode the block computes no lane values (registers read
+    /// as zero), so its control flow and charges must not depend on lane
+    /// values either.
     pub fn replay(&mut self, times: u64, mut f: impl FnMut(&mut Self)) {
         self.replay_indexed(times, |ctx, _| f(ctx));
     }
@@ -881,6 +903,94 @@ mod tests {
         let mut c79 = NpuContext::new(DeviceProfile::v79(), ExecMode::Functional);
         let _ = c79.vconv_qf16(v);
         assert_eq!(c79.cost.counters().hvx_instructions, 0);
+    }
+
+    /// One pure lane wrapper applied to operands `(a, b, idx)`, returning
+    /// every result register.
+    type LaneOp = fn(&mut NpuContext, &HvxVec, &HvxVec, &HvxVec) -> Vec<HvxVec>;
+
+    fn lane_ops() -> Vec<(&'static str, LaneOp)> {
+        vec![
+            ("vadd_hf", |c, a, b, _| vec![c.vadd_hf(a, b)]),
+            ("vsub_hf", |c, a, b, _| vec![c.vsub_hf(a, b)]),
+            ("vmpy_hf", |c, a, b, _| vec![c.vmpy_hf(a, b)]),
+            ("vmax_hf", |c, a, b, _| vec![c.vmax_hf(a, b)]),
+            ("vmin_hf", |c, a, b, _| vec![c.vmin_hf(a, b)]),
+            ("vadd_sf", |c, a, b, _| vec![c.vadd_sf(a, b)]),
+            ("vmpy_sf", |c, a, b, _| vec![c.vmpy_sf(a, b)]),
+            ("vcvt_hf_sf", |c, a, _, _| {
+                let (lo, hi) = c.vcvt_hf_sf(a);
+                vec![lo, hi]
+            }),
+            ("vcvt_sf_hf", |c, a, b, _| vec![c.vcvt_sf_hf(a, b)]),
+            ("vcvt_h_hf", |c, _, _, i| vec![c.vcvt_h_hf(i)]),
+            ("vunpack_b_h", |c, _, _, i| {
+                let (lo, hi) = c.vunpack_b_h(i);
+                vec![lo, hi]
+            }),
+            ("vunpack_ub_h", |c, _, _, i| {
+                let (lo, hi) = c.vunpack_ub_h(i);
+                vec![lo, hi]
+            }),
+            ("vand_b", |c, a, b, _| vec![c.vand_b(a, b)]),
+            ("vor_b", |c, a, b, _| vec![c.vor_b(a, b)]),
+            ("vsub_b", |c, a, b, _| vec![c.vsub_b(a, b)]),
+            ("vshr_b", |c, a, _, _| vec![c.vshr_b(a, 3)]),
+            ("vshr_h", |c, a, _, _| vec![c.vshr_h(a, 5)]),
+            ("vshl_h", |c, a, _, _| vec![c.vshl_h(a, 2)]),
+            ("vshuff_h", |c, a, b, _| {
+                let (lo, hi) = c.vshuff_h(a, b);
+                vec![lo, hi]
+            }),
+            ("vdeal_h", |c, a, b, _| {
+                let (lo, hi) = c.vdeal_h(a, b);
+                vec![lo, hi]
+            }),
+            ("vlut16_hf", |c, _, _, i| {
+                let table: [F16; 16] = std::array::from_fn(|k| F16::from_f32(k as f32 - 7.5));
+                let (lo, hi) = c.vlut16_hf(i, &table);
+                vec![lo, hi]
+            }),
+        ]
+    }
+
+    #[test]
+    fn cost_only_lane_ops_charge_like_functional_and_compute_nothing() {
+        let ops = lane_ops();
+        assert_eq!(ops.len(), 21);
+        let a = HvxVec::from_hf_slice(
+            &(0..HVX_HALVES)
+                .map(|i| F16::from_f32(i as f32 * 0.25 - 5.0))
+                .collect::<Vec<_>>(),
+        );
+        let b = HvxVec::from_hf_slice(
+            &(0..HVX_HALVES)
+                .map(|i| F16::from_f32(3.0 - i as f32 * 0.125))
+                .collect::<Vec<_>>(),
+        );
+        let idx = HvxVec::from_bytes(&(0..HVX_BYTES as u8).collect::<Vec<_>>());
+        for device in [DeviceProfile::v75(), DeviceProfile::v79()] {
+            for (name, op) in &ops {
+                let mut f = NpuContext::new(device.clone(), ExecMode::Functional);
+                let mut c = NpuContext::new(device.clone(), ExecMode::CostOnly);
+                let functional = op(&mut f, &a, &b, &idx);
+                let cost_only = op(&mut c, &a, &b, &idx);
+                assert_eq!(c.cost.counters(), f.cost.counters(), "{name}");
+                for e in Engine::ALL {
+                    assert_eq!(c.cost.engine_secs(e), f.cost.engine_secs(e), "{name} {e:?}");
+                }
+                assert!(c.cost.counters().hvx_instructions > 0, "{name} charges");
+                assert_eq!(cost_only.len(), functional.len(), "{name}");
+                assert!(
+                    cost_only.iter().all(|v| *v == HvxVec::zero()),
+                    "{name}: cost-only registers must read as zero"
+                );
+                assert!(
+                    functional.iter().any(|v| *v != HvxVec::zero()),
+                    "{name}: functional mode computes lanes"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! Section 5.2.1) but the end-to-end pipeline still executes and charges
 //! them, so their smallness is a measured property rather than an
 //! assumption.
+//!
+//! Each kernel charges from the row length alone; in
+//! [`ExecMode::CostOnly`] it returns after charging and leaves the row
+//! untouched, since cost-only mode never reads lane values.
 
 use hexsim::f16::F16;
 use hexsim::prelude::*;
@@ -20,16 +24,19 @@ pub fn rmsnorm(ctx: &mut NpuContext, x: &mut [F16], w: &[F16], eps: f32) {
     // Pass 1: sum of squares in FP32.
     ctx.cost.charge_tcm_bytes(regs * 128);
     ctx.cost.charge_hvx_packets(regs * 3 + 12 + 6);
+    // Pass 2: scale by inv_rms and the elementwise weight.
+    let qf = 2 * ctx.device().qf16_convert_ops();
+    ctx.cost.charge_tcm_bytes(regs * 256);
+    ctx.cost.charge_hvx_packets(regs * (2 + qf) + 1);
+    if ctx.mode == ExecMode::CostOnly {
+        return;
+    }
     let mut ss = 0.0f32;
     for v in x.iter() {
         let f = v.to_f32();
         ss += f * f;
     }
     let inv_rms = 1.0 / (ss / n as f32 + eps).sqrt();
-    // Pass 2: scale by inv_rms and the elementwise weight.
-    let qf = 2 * ctx.device().qf16_convert_ops();
-    ctx.cost.charge_tcm_bytes(regs * 256);
-    ctx.cost.charge_hvx_packets(regs * (2 + qf) + 1);
     for (xi, wi) in x.iter_mut().zip(w) {
         let scaled = F16::from_f32(xi.to_f32() * inv_rms);
         *xi = scaled.mul(*wi);
@@ -48,6 +55,9 @@ pub fn rope(ctx: &mut NpuContext, x: &mut [F16], pos: usize, theta_base: f32) {
     let qf = 2 * ctx.device().qf16_convert_ops();
     ctx.cost.charge_tcm_bytes(regs * 256);
     ctx.cost.charge_hvx_packets(regs * (6 + qf));
+    if ctx.mode == ExecMode::CostOnly {
+        return;
+    }
     for i in 0..half {
         let freq = theta_base.powf(-2.0 * (i as f32) / d as f32);
         let angle = pos as f32 * freq;
@@ -69,6 +79,9 @@ pub fn silu(ctx: &mut NpuContext, x: &mut [F16]) {
     ctx.cost.charge_tcm_bytes(regs * 256);
     ctx.cost.charge_hvx_packets(regs * 12);
     ctx.stall(4);
+    if ctx.mode == ExecMode::CostOnly {
+        return;
+    }
     for v in x.iter_mut() {
         let f = v.to_f32();
         *v = F16::from_f32(f / (1.0 + (-f).exp()));
@@ -82,6 +95,9 @@ pub fn mul_inplace(ctx: &mut NpuContext, a: &mut [F16], b: &[F16]) {
     let qf = ctx.device().qf16_convert_ops();
     ctx.cost.charge_tcm_bytes(regs * 384);
     ctx.cost.charge_hvx_packets(regs * (1 + qf));
+    if ctx.mode == ExecMode::CostOnly {
+        return;
+    }
     for (x, y) in a.iter_mut().zip(b) {
         *x = x.mul(*y);
     }
@@ -94,6 +110,9 @@ pub fn add_inplace(ctx: &mut NpuContext, a: &mut [F16], b: &[F16]) {
     let qf = ctx.device().qf16_convert_ops();
     ctx.cost.charge_tcm_bytes(regs * 384);
     ctx.cost.charge_hvx_packets(regs * (1 + qf));
+    if ctx.mode == ExecMode::CostOnly {
+        return;
+    }
     for (x, y) in a.iter_mut().zip(b) {
         *x = x.add(*y);
     }

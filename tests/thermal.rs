@@ -135,10 +135,6 @@ fn golden_logits_are_untouched_by_the_dvfs_clock() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "minutes-long unoptimized; CI runs it in release"
-)]
 fn first_throttle_steps_are_pinned_for_qwen3b_b8() {
     // The fixed workload from the BENCH_power artifact: Qwen-3B, batch 8,
     // ctx 1024, back-to-back decode from a cold die. The step index where
@@ -161,10 +157,6 @@ fn first_throttle_steps_are_pinned_for_qwen3b_b8() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "minutes-long unoptimized; CI runs it in release"
-)]
 fn throttled_pipeline_matches_the_scalar_dilation_reference() {
     // Differential test: every engine lane's busy time under a DVFS
     // clock `m` must follow the affine law `lane(m) = F + S/m`, where
@@ -252,10 +244,6 @@ fn throttled_pipeline_matches_the_scalar_dilation_reference() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "minutes-long unoptimized; CI runs it in release"
-)]
 fn sharded_throttled_steps_beat_pure_dilation() {
     // Qwen-3B shards across sessions on every device; the per-step
     // session-switch charge is a fixed hardware cost that does not
