@@ -6,7 +6,10 @@
 //! its cost, so the latency figures reported by the benchmark harness are
 //! derived from the same code path the correctness tests exercise. In
 //! [`ExecMode::CostOnly`] the charges are identical but the pure lane
-//! operations compute nothing: their result registers read as zero.
+//! operations compute nothing: their result registers read as zero. A
+//! cost-only context also holds no TCM bytes: TCM reads return zeros,
+//! writes store nothing, and every TCM bounds check panics exactly where
+//! it panics in functional mode.
 //!
 //! Cost conventions (see `crates/hexsim/src/cost.rs`):
 //! - compute instructions charge packets (1 vector-clock cycle each, except
@@ -39,8 +42,20 @@ pub enum ExecMode {
     /// [`ExecMode::Functional`] and returns all-zero registers, and DDR
     /// reads return zeros. Kernel control flow and charges must therefore
     /// never depend on a lane value.
+    ///
+    /// Cost-only TCM holds no bytes either: TCM reads (`tcm_peek`,
+    /// `vmem_ld_tcm`, `vgather_h`, HMX tile reads, `dma_t2h`) return zeros,
+    /// TCM writes (`tcm_poke`, `vmem_st_tcm`, `vscatter_h`, `dma_h2t`,
+    /// `hmx_store_acc`) store nothing, and bounds are checked exactly as in
+    /// functional mode, so an out-of-TCM access panics in both modes.
     CostOnly,
 }
+
+/// All-zero bytes backing cost-only TCM reads. Covers the 8 MiB TCM of
+/// every shipped device profile (a cost-only read of more bytes than this
+/// panics); it lives in zero-initialized static memory, so it costs no
+/// resident pages until read.
+static ZERO_TCM: [u8; 8 * 1024 * 1024] = [0; 8 * 1024 * 1024];
 
 /// Saved TCM allocator position, for stack-discipline scratch reuse.
 #[derive(Clone, Copy, Debug)]
@@ -49,10 +64,13 @@ pub struct TcmMark(u32);
 /// The simulated NPU: TCM, DDR heap, HVX/HMX datapaths and the cost model.
 pub struct NpuContext {
     device: DeviceProfile,
-    /// Execution mode (functional vs shape-level).
+    /// Execution mode (functional vs shape-level). Fixed at construction:
+    /// the TCM backing store is sized for it.
     pub mode: ExecMode,
     /// Cost accounting for everything this context executed.
     pub cost: CostModel,
+    /// TCM bytes: `tcm_bytes` of them in functional mode, none in
+    /// cost-only mode (reads see `ZERO_TCM`).
     tcm: Vec<u8>,
     tcm_top: u32,
     ddr: DdrHeap,
@@ -78,7 +96,10 @@ impl NpuContext {
     /// shared, because the Hexagon hardware behind every session is the
     /// same physical NPU.
     pub fn new_sharded(device: DeviceProfile, mode: ExecMode, max_sessions: usize) -> Self {
-        let tcm = vec![0u8; device.tcm_bytes as usize];
+        let tcm = match mode {
+            ExecMode::Functional => vec![0u8; device.tcm_bytes as usize],
+            ExecMode::CostOnly => Vec::new(),
+        };
         let ddr = DdrHeap::with_sessions(device.session_va_bytes, max_sessions);
         let cost = CostModel::new(device.clone());
         NpuContext {
@@ -133,21 +154,46 @@ impl NpuContext {
 
     /// Simulation-side helper: reads TCM bytes without charging cost (used
     /// by tests and by host-side staging that is charged separately).
+    /// Returns zeros in cost-only mode.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds TCM.
+    #[inline]
     pub fn tcm_peek(&self, addr: TcmAddr, len: usize) -> &[u8] {
-        &self.tcm[addr.0 as usize..addr.0 as usize + len]
+        let range = addr.0 as usize..addr.0 as usize + len;
+        match self.mode {
+            ExecMode::Functional => &self.tcm[range],
+            ExecMode::CostOnly => {
+                self.assert_tcm_range(range);
+                &ZERO_TCM[..len]
+            }
+        }
     }
 
     /// Simulation-side helper: writes TCM bytes without charging cost.
+    /// Stores nothing in cost-only mode.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds TCM.
+    #[inline]
     pub fn tcm_poke(&mut self, addr: TcmAddr, bytes: &[u8]) {
-        self.tcm[addr.0 as usize..addr.0 as usize + bytes.len()].copy_from_slice(bytes);
+        let range = addr.0 as usize..addr.0 as usize + bytes.len();
+        match self.mode {
+            ExecMode::Functional => self.tcm[range].copy_from_slice(bytes),
+            ExecMode::CostOnly => self.assert_tcm_range(range),
+        }
+    }
+
+    /// The bounds check a functional TCM slice makes, for cost-only
+    /// accesses that have no bytes to slice.
+    fn assert_tcm_range(&self, range: std::ops::Range<usize>) {
+        assert!(
+            range.end <= self.device.tcm_bytes as usize,
+            "TCM range {range:?} outside {} bytes of TCM",
+            self.device.tcm_bytes
+        );
     }
 
     // ------------------------------------------------------------------
@@ -240,7 +286,8 @@ impl NpuContext {
         }
     }
 
-    /// DMA transfer DDR -> TCM (1D). Charges the DMA engine.
+    /// DMA transfer DDR -> TCM (1D). Charges the DMA engine. Stores
+    /// nothing in cost-only mode, where DDR holds no bytes either.
     ///
     /// # Panics
     ///
@@ -259,7 +306,8 @@ impl NpuContext {
         }
     }
 
-    /// DMA transfer TCM -> DDR (1D). Charges the DMA engine.
+    /// DMA transfer TCM -> DDR (1D). Charges the DMA engine. Reads no TCM
+    /// bytes in cost-only mode, where DDR holds none to write.
     ///
     /// # Panics
     ///
@@ -267,14 +315,14 @@ impl NpuContext {
     pub fn dma_t2h(&mut self, src: TcmAddr, dst: DdrBuffer, dst_off: u64, len: u32) {
         self.cost.charge_dma(len as u64);
         assert!(src.0 + len <= self.device.tcm_bytes, "dma_t2h source OOB");
-        let tcm_slice = self.tcm[src.0 as usize..(src.0 + len) as usize].to_vec();
         let state = self.ddr.get_mut(dst);
         assert!(
             dst_off + len as u64 <= state.size,
             "dma_t2h destination OOB"
         );
         if let Some(data) = state.data.as_mut() {
-            data[dst_off as usize..dst_off as usize + len as usize].copy_from_slice(&tcm_slice);
+            data[dst_off as usize..dst_off as usize + len as usize]
+                .copy_from_slice(&self.tcm[src.0 as usize..(src.0 + len) as usize]);
         }
     }
 
@@ -322,7 +370,8 @@ impl NpuContext {
     // Vector memory operations.
     // ------------------------------------------------------------------
 
-    /// Vector load of one 128-byte register from TCM.
+    /// Vector load of one 128-byte register from TCM (zeros in cost-only
+    /// mode).
     ///
     /// # Panics
     ///
@@ -332,7 +381,8 @@ impl NpuContext {
         HvxVec::from_bytes(self.tcm_peek(addr, HVX_BYTES))
     }
 
-    /// Vector store of one 128-byte register to TCM.
+    /// Vector store of one 128-byte register to TCM (nothing is stored in
+    /// cost-only mode).
     ///
     /// # Panics
     ///
@@ -361,6 +411,7 @@ impl NpuContext {
     ///
     /// `pipelined` selects the lower-bound packet charge (multiple gathers
     /// in flight), versus the midpoint for a dependent standalone gather.
+    /// Returns zeros in cost-only mode.
     ///
     /// # Panics
     ///
@@ -368,6 +419,10 @@ impl NpuContext {
     pub fn vgather_h(&mut self, base: TcmAddr, offsets: &HvxVec, pipelined: bool) -> HvxVec {
         self.cost.charge_vgather(pipelined);
         let mut out = HvxVec::zero();
+        if self.mode == ExecMode::CostOnly {
+            self.assert_lanes_in_tcm(base, offsets, "vgather");
+            return out;
+        }
         for i in 0..HVX_HALVES {
             let off = offsets.get_h(i) as u32;
             let addr = base.0 + off;
@@ -384,12 +439,17 @@ impl NpuContext {
 
     /// `vscatter`: scatters 64 halfword lanes of `v` to TCM at
     /// `base + offsets[i]`. Costs like a gather (same scatter/gather engine).
+    /// Stores nothing in cost-only mode.
     ///
     /// # Panics
     ///
     /// Panics if any scattered element is outside TCM.
     pub fn vscatter_h(&mut self, base: TcmAddr, offsets: &HvxVec, v: &HvxVec, pipelined: bool) {
         self.cost.charge_vgather(pipelined);
+        if self.mode == ExecMode::CostOnly {
+            self.assert_lanes_in_tcm(base, offsets, "vscatter");
+            return;
+        }
         for i in 0..HVX_HALVES {
             let off = offsets.get_h(i) as u32;
             let addr = base.0 + off;
@@ -400,6 +460,18 @@ impl NpuContext {
             let bytes = v.get_h(i).to_le_bytes();
             self.tcm[addr as usize] = bytes[0];
             self.tcm[addr as usize + 1] = bytes[1];
+        }
+    }
+
+    /// The per-lane bounds check of a functional gather or scatter, for
+    /// cost-only accesses that touch no bytes.
+    fn assert_lanes_in_tcm(&self, base: TcmAddr, offsets: &HvxVec, op: &str) {
+        for i in 0..HVX_HALVES {
+            let addr = base.0 + offsets.get_h(i) as u32;
+            assert!(
+                addr + 2 <= self.device.tcm_bytes,
+                "{op} element outside TCM"
+            );
         }
     }
 
@@ -584,7 +656,8 @@ impl NpuContext {
 
     /// HMX tile multiply-accumulate: reads a 32x32 FP16 activation tile and
     /// weight tile (both in interleaved layout, both in TCM) and accumulates
-    /// `act x wgt` into `acc`. Charges one tile-op.
+    /// `act x wgt` into `acc`. Charges one tile-op. In cost-only mode both
+    /// tiles read as zero, so `acc` is left as it is.
     ///
     /// # Panics
     ///
@@ -595,9 +668,11 @@ impl NpuContext {
             act.0.is_multiple_of(2) && wgt.0.is_multiple_of(2),
             "tiles must be aligned"
         );
-        let act_tile = hmx::unpack_tile(self.tcm_peek(act, TILE_BYTES));
-        let wgt_tile = hmx::unpack_tile(self.tcm_peek(wgt, TILE_BYTES));
-        acc.mac(&act_tile, &wgt_tile);
+        let act_bytes = self.tcm_peek(act, TILE_BYTES);
+        let wgt_bytes = self.tcm_peek(wgt, TILE_BYTES);
+        if self.mode == ExecMode::Functional {
+            acc.mac(&hmx::unpack_tile(act_bytes), &hmx::unpack_tile(wgt_bytes));
+        }
     }
 
     /// Shape-level HMX charge: `n` tile-ops without data movement. Used by
@@ -608,7 +683,8 @@ impl NpuContext {
     }
 
     /// Writes the accumulator to TCM as an interleaved FP16 tile, applying
-    /// optional per-column scale/bias (HMX writeback path).
+    /// optional per-column scale/bias (HMX writeback path). Cost-only mode
+    /// builds no tile and stores nothing.
     ///
     /// # Panics
     ///
@@ -622,9 +698,17 @@ impl NpuContext {
     ) {
         // Writeback is part of the tile-op pipeline; charge token cost.
         self.cost.charge_hmx_tile_ops(0);
-        let tile = acc.to_tile(scale, bias);
-        let bytes = hmx::pack_tile(&tile);
-        self.tcm_poke(out, &bytes);
+        match self.mode {
+            ExecMode::Functional => {
+                let tile = acc.to_tile(scale, bias);
+                let bytes = hmx::pack_tile(&tile);
+                self.tcm_poke(out, &bytes);
+            }
+            ExecMode::CostOnly => {
+                let start = out.0 as usize;
+                self.assert_tcm_range(start..start + TILE_BYTES);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -988,6 +1072,175 @@ mod tests {
                 assert!(
                     functional.iter().any(|v| *v != HvxVec::zero()),
                     "{name}: functional mode computes lanes"
+                );
+            }
+        }
+    }
+
+    /// One TCM data path: `span` bytes of TCM from `addr` on are touched.
+    /// Read paths return the bytes they read; write paths store a non-zero
+    /// pattern and return nothing.
+    struct TcmPath {
+        name: &'static str,
+        span: u32,
+        op: fn(&mut NpuContext, TcmAddr) -> Vec<u8>,
+    }
+
+    /// Non-zero bytes `1, 2, ...` (wrapping past 255 to 1).
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 255) as u8 + 1).collect()
+    }
+
+    /// Offsets of every other halfword: lanes span 254 bytes of TCM.
+    fn strided_offsets() -> HvxVec {
+        let mut offs = HvxVec::zero();
+        for i in 0..HVX_HALVES {
+            offs.set_h(i, (i as u16) * 4);
+        }
+        offs
+    }
+
+    fn pattern_tile() -> [[F16; TILE_DIM]; TILE_DIM] {
+        std::array::from_fn(|i| std::array::from_fn(|j| F16::from_f32((i + 2 * j) as f32 / 64.0)))
+    }
+
+    fn tcm_paths() -> Vec<TcmPath> {
+        vec![
+            TcmPath {
+                name: "tcm_peek",
+                span: 256,
+                op: |c, a| c.tcm_peek(a, 256).to_vec(),
+            },
+            TcmPath {
+                name: "tcm_poke",
+                span: 256,
+                op: |c, a| {
+                    c.tcm_poke(a, &pattern(256));
+                    Vec::new()
+                },
+            },
+            TcmPath {
+                name: "dma_h2t",
+                span: 256,
+                op: |c, a| {
+                    let buf = c.ddr_alloc_from(&pattern(256)).unwrap();
+                    c.dma_h2t(buf, 0, a, 256);
+                    Vec::new()
+                },
+            },
+            TcmPath {
+                name: "dma_t2h",
+                span: 256,
+                op: |c, a| {
+                    let buf = c.ddr_alloc(256).unwrap();
+                    c.dma_t2h(a, buf, 0, 256);
+                    c.ddr_read(buf, 0, 256)
+                },
+            },
+            TcmPath {
+                name: "vmem_ld_tcm",
+                span: HVX_BYTES as u32,
+                op: |c, a| c.vmem_ld_tcm(a).0.to_vec(),
+            },
+            TcmPath {
+                name: "vmem_st_tcm",
+                span: HVX_BYTES as u32,
+                op: |c, a| {
+                    c.vmem_st_tcm(a, &HvxVec::from_bytes(&pattern(HVX_BYTES)));
+                    Vec::new()
+                },
+            },
+            TcmPath {
+                name: "vgather_h",
+                span: 254,
+                op: |c, a| c.vgather_h(a, &strided_offsets(), true).0.to_vec(),
+            },
+            TcmPath {
+                name: "vscatter_h",
+                span: 254,
+                op: |c, a| {
+                    let v = HvxVec::from_bytes(&pattern(HVX_BYTES));
+                    c.vscatter_h(a, &strided_offsets(), &v, false);
+                    Vec::new()
+                },
+            },
+            TcmPath {
+                name: "hmx_matmul",
+                span: TILE_BYTES as u32,
+                op: |c, a| {
+                    let mut acc = HmxAccumulator::new();
+                    c.hmx_matmul(&mut acc, a, a);
+                    hmx::pack_tile(&acc.to_tile(None, None)).to_vec()
+                },
+            },
+            TcmPath {
+                name: "hmx_store_acc",
+                span: TILE_BYTES as u32,
+                op: |c, a| {
+                    let mut acc = HmxAccumulator::new();
+                    acc.mac(&pattern_tile(), &pattern_tile());
+                    c.hmx_store_acc(&acc, a, None, None);
+                    Vec::new()
+                },
+            },
+        ]
+    }
+
+    #[test]
+    fn cost_only_tcm_holds_no_bytes_and_checks_bounds_like_functional() {
+        let device = DeviceProfile::v75();
+        let end = device.tcm_bytes;
+        let functional = NpuContext::new(device.clone(), ExecMode::Functional);
+        assert_eq!(functional.tcm.len(), end as usize);
+        let cost_only = NpuContext::new(device.clone(), ExecMode::CostOnly);
+        assert_eq!(cost_only.tcm.capacity(), 0, "cost-only TCM has no backing");
+        assert!(cost_only
+            .tcm_peek(TcmAddr(0), end as usize)
+            .iter()
+            .all(|&b| b == 0));
+
+        for path in tcm_paths() {
+            let name = path.name;
+            let span = path.span as usize;
+            let [(f, f_seen), (c, c_seen)] =
+                [ExecMode::Functional, ExecMode::CostOnly].map(|mode| {
+                    let mut ctx = NpuContext::new(device.clone(), mode);
+                    let t = ctx.tcm_alloc(4 * TILE_BYTES as u32, 2048).unwrap();
+                    // Write first, then run the path, then read its span back:
+                    // a read path sees the pattern, a write path overwrites it.
+                    ctx.tcm_poke(t, &pattern(span));
+                    let mut seen = (path.op)(&mut ctx, t);
+                    seen.extend_from_slice(ctx.tcm_peek(t, span));
+                    (ctx, seen)
+                });
+            assert_eq!(c.cost.counters(), f.cost.counters(), "{name}");
+            for e in Engine::ALL {
+                assert_eq!(c.cost.engine_secs(e), f.cost.engine_secs(e), "{name} {e:?}");
+            }
+            assert_eq!(c_seen.len(), f_seen.len(), "{name}");
+            assert!(
+                f_seen.iter().any(|&b| b != 0),
+                "{name}: functional moves bytes"
+            );
+            assert!(
+                c_seen.iter().all(|&b| b == 0),
+                "{name}: cost-only reads zeros"
+            );
+
+            // The last in-bounds start succeeds and the next even one panics,
+            // in both modes.
+            for mode in [ExecMode::Functional, ExecMode::CostOnly] {
+                let mut ctx = NpuContext::new(device.clone(), mode);
+                let run = |ctx: &mut NpuContext, addr: u32| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        (path.op)(ctx, TcmAddr(addr));
+                    }))
+                };
+                let last = end - path.span;
+                assert!(run(&mut ctx, last).is_ok(), "{name} {mode:?}: last start");
+                assert!(
+                    run(&mut ctx, last + 2).is_err(),
+                    "{name} {mode:?}: past TCM"
                 );
             }
         }

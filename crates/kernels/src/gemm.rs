@@ -142,8 +142,9 @@ pub fn prepare_weights(
     let tiles = (qm.k / TILE_DIM) * (qm.n / TILE_DIM);
     let len = (tiles * tile_stream_bytes(qm.scheme, variant)) as u64;
     let buf = if ctx.mode == ExecMode::Functional {
-        let bytes: Vec<u8> = if variant == DequantVariant::CoalescedLut {
-            match qm.scheme {
+        let coalesced: Vec<u8>;
+        let bytes: &[u8] = if variant == DequantVariant::CoalescedLut {
+            coalesced = match qm.scheme {
                 QuantScheme::Q4_0 => {
                     let blocks: Vec<BlockQ4_0> =
                         (0..qm.num_blocks()).map(|i| qm.block_q4(i)).collect();
@@ -154,12 +155,13 @@ pub fn prepare_weights(
                         (0..qm.num_blocks()).map(|i| qm.block_q8(i)).collect();
                     coalesce_q8_stream(&blocks)
                 }
-            }
+            };
+            &coalesced
         } else {
-            qm.bytes.clone()
+            &qm.bytes
         };
         assert_eq!(bytes.len() as u64, len, "stream length mismatch");
-        ctx.ddr_alloc_from(&bytes)?
+        ctx.ddr_alloc_from(bytes)?
     } else {
         // Cost-only: the stream size is derived from the shape; no bytes
         // are materialized.
