@@ -13,6 +13,8 @@ use htpops::exp_lut::{ExpLut16, ExpMethod};
 use htpops::softmax::{softmax_rows, SoftmaxConfig};
 use tilequant::block::BlockQ4_0;
 use tilequant::super_group::SuperBlockQ4;
+use tilequant::synth::gaussian_matrix;
+use tilequant::{QuantScheme, QuantizedMatrix, WeightLayout};
 
 fn bench_f16_conversion(c: &mut Criterion) {
     let mut group = c.benchmark_group("f16");
@@ -75,6 +77,28 @@ fn bench_lut_dequant(c: &mut Criterion) {
     group.bench_function("super_q4_lut_256_elems", |b| {
         b.iter(|| dequant_super_q4_lut(&mut ctx, &env, src, dst))
     });
+    group.finish();
+}
+
+fn bench_weight_quant(c: &mut Criterion) {
+    // Host weight preparation: the strip-walk `quantize` and `dequantize`
+    // of one Qwen-1.5B-shape Q4 projection, in both layouts (the
+    // `kernels` workload of perfbench quantizes every matrix both ways).
+    let mut group = c.benchmark_group("weight_quant");
+    let (k, n) = (1536usize, 1536usize);
+    group.throughput(Throughput::Elements((k * n) as u64));
+    let w = gaussian_matrix(k, n, 1, 0.02, 0.0);
+    for layout in [WeightLayout::HmxTileGroups, WeightLayout::ColumnMajorGroups] {
+        group.bench_function(format!("quantize_q4_1536x1536_{layout:?}"), |b| {
+            b.iter(|| {
+                QuantizedMatrix::quantize(std::hint::black_box(&w), k, n, QuantScheme::Q4_0, layout)
+            })
+        });
+        let qm = QuantizedMatrix::quantize(&w, k, n, QuantScheme::Q4_0, layout);
+        group.bench_function(format!("dequantize_q4_1536x1536_{layout:?}"), |b| {
+            b.iter(|| std::hint::black_box(&qm).dequantize())
+        });
+    }
     group.finish();
 }
 
@@ -319,6 +343,6 @@ fn bench_hmx_tile(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_f16_conversion, bench_lut_dequant, bench_softmax, bench_attention_host, bench_lm_head_row, bench_verify_argmax, bench_hmx_tile
+    targets = bench_f16_conversion, bench_lut_dequant, bench_weight_quant, bench_softmax, bench_attention_host, bench_lm_head_row, bench_verify_argmax, bench_hmx_tile
 }
 criterion_main!(benches);

@@ -21,9 +21,7 @@ use hexsim::f16::F16;
 use hexsim::hmx::{pack_tile, unpack_tile, HmxAccumulator, TILE_BYTES, TILE_DIM};
 use hexsim::prelude::*;
 use tilequant::block::{BlockQ4_0, BlockQ8_0, Q4_0_BLOCK_BYTES, Q8_0_BLOCK_BYTES};
-use tilequant::super_group::{
-    coalesce_q4_stream, coalesce_q8_stream, SUPER_Q4_BYTES, SUPER_Q8_BYTES,
-};
+use tilequant::super_group::{coalesce, SUPER_Q4_BYTES, SUPER_Q8_BYTES};
 use tilequant::{QuantScheme, QuantizedMatrix, WeightLayout};
 
 use crate::dequant::{
@@ -144,18 +142,7 @@ pub fn prepare_weights(
     let buf = if ctx.mode == ExecMode::Functional {
         let coalesced: Vec<u8>;
         let bytes: &[u8] = if variant == DequantVariant::CoalescedLut {
-            coalesced = match qm.scheme {
-                QuantScheme::Q4_0 => {
-                    let blocks: Vec<BlockQ4_0> =
-                        (0..qm.num_blocks()).map(|i| qm.block_q4(i)).collect();
-                    coalesce_q4_stream(&blocks)
-                }
-                QuantScheme::Q8_0 => {
-                    let blocks: Vec<BlockQ8_0> =
-                        (0..qm.num_blocks()).map(|i| qm.block_q8(i)).collect();
-                    coalesce_q8_stream(&blocks)
-                }
-            };
+            coalesced = coalesce(qm);
             &coalesced
         } else {
             &qm.bytes

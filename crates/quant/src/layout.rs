@@ -14,8 +14,15 @@
 //!   two-row interleave of Figure 4a — and *then* quantized in consecutive
 //!   runs of 32, which correspond to 2x16 sub-tiles of the original matrix.
 //!   Dequantized registers can be stored to TCM contiguously.
+//!
+//! Both layouts are built and undone by one walk over the groups. It goes
+//! one 32-row strip (k-tile) at a time, the loop the HMX itself runs over
+//! tiles, and places each group's 32 elements through a fixed offset table
+//! rather than by permuting element indices one by one. `quantize` writes
+//! each block at its layout-order offset in the byte stream; `dequantize`
+//! writes each group's values back into the row-major matrix.
 
-use hexsim::hmx::{tile_elem_offset, TILE_DIM};
+use hexsim::hmx::TILE_DIM;
 
 use crate::block::{BlockQ4_0, BlockQ8_0, GROUP_SIZE, Q4_0_BLOCK_BYTES, Q8_0_BLOCK_BYTES};
 
@@ -67,33 +74,55 @@ pub struct QuantizedMatrix {
     pub bytes: Vec<u8>,
 }
 
-/// Flat element index (into row-major `W[k][n]`) of the `pos`-th element in
-/// the HMX stream order: column-major tiles, two-row interleave inside.
-fn hmx_stream_index(pos: usize, k: usize, n: usize) -> usize {
-    let tile_elems = TILE_DIM * TILE_DIM;
-    let k_tiles = k / TILE_DIM;
-    let tile_idx = pos / tile_elems;
-    let within = pos % tile_elems;
-    // Column-major tile order: k-tile varies fastest (Figure 4b).
-    let n_tile = tile_idx / k_tiles;
-    let k_tile = tile_idx % k_tiles;
-    // Invert the interleaved within-tile offset: offset -> (row, col).
-    let pair = within / (TILE_DIM * 2);
-    let slot = within % (TILE_DIM * 2);
-    let col = slot / 2;
-    let row = pair * 2 + slot % 2;
-    debug_assert_eq!(tile_elem_offset(row, col), within * 2);
-    let kk = k_tile * TILE_DIM + row;
-    let nn = n_tile * TILE_DIM + col;
-    kk * n + nn
+/// Groups per 32x32 HMX tile.
+const GROUPS_PER_TILE: usize = TILE_DIM * TILE_DIM / GROUP_SIZE;
+
+/// Offsets, from a group's first element, of its 32 elements in row-major
+/// `W[k][n]`, in group order.
+///
+/// A tile group is a 2x16 sub-tile read in the two-row interleave of
+/// Figure 4a, so element `i` sits in row `i % 2` and column `i / 2` of it;
+/// a column-major group is 32 consecutive rows of one column.
+fn group_offsets(layout: WeightLayout, n: usize) -> [usize; GROUP_SIZE] {
+    std::array::from_fn(|i| match layout {
+        WeightLayout::ColumnMajorGroups => i * n,
+        WeightLayout::HmxTileGroups => (i % 2) * n + i / 2,
+    })
 }
 
-/// Flat element index of the `pos`-th element in conventional column-major
-/// group order (whole column of `W`, k-major, column by column).
-fn colmajor_stream_index(pos: usize, k: usize, _n: usize) -> usize {
-    let col = pos / k;
-    let row = pos % k;
-    row * _n + col
+/// Visits every group of a `[k, n]` matrix once, as `f(block, base)`:
+/// `block` is the group's index in layout order and `base` the flat
+/// row-major index of its first element (add [`group_offsets`] for the
+/// rest).
+///
+/// The walk goes one 32-row strip (k-tile) at a time, the loop the HMX runs
+/// over tiles, so the rows it reads stay in cache. Within a strip, tile
+/// groups go n-tile by n-tile and column-major groups column by column.
+fn for_each_group(layout: WeightLayout, k: usize, n: usize, mut f: impl FnMut(usize, usize)) {
+    let k_tiles = k / TILE_DIM;
+    for kt in 0..k_tiles {
+        let strip = kt * TILE_DIM * n;
+        match layout {
+            // Column `col` holds its k-tiles as blocks `col * k_tiles ..`.
+            WeightLayout::ColumnMajorGroups => {
+                for col in 0..n {
+                    f(col * k_tiles + kt, strip + col);
+                }
+            }
+            // Column-major tiles (k-tile fastest, Figure 4b); inside a tile,
+            // group `g` covers rows `2 * (g / 2)..+2`, columns
+            // `16 * (g % 2)..+16`.
+            WeightLayout::HmxTileGroups => {
+                for nt in 0..n / TILE_DIM {
+                    let first = (nt * k_tiles + kt) * GROUPS_PER_TILE;
+                    for g in 0..GROUPS_PER_TILE {
+                        let base = strip + (g / 2) * 2 * n + nt * TILE_DIM + (g % 2) * 16;
+                        f(first + g, base);
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl QuantizedMatrix {
@@ -115,28 +144,20 @@ impl QuantizedMatrix {
             k.is_multiple_of(TILE_DIM) && n.is_multiple_of(TILE_DIM),
             "dims must be x32"
         );
-        let total = k * n;
-        let blocks = total / GROUP_SIZE;
-        let mut bytes = Vec::with_capacity(blocks * scheme.block_bytes());
+        let block_bytes = scheme.block_bytes();
+        let mut bytes = vec![0u8; k * n / GROUP_SIZE * block_bytes];
+        let offsets = group_offsets(layout, n);
         let mut group = [0.0f32; GROUP_SIZE];
-        for b in 0..blocks {
-            for (i, g) in group.iter_mut().enumerate() {
-                let pos = b * GROUP_SIZE + i;
-                let flat = match layout {
-                    WeightLayout::ColumnMajorGroups => colmajor_stream_index(pos, k, n),
-                    WeightLayout::HmxTileGroups => hmx_stream_index(pos, k, n),
-                };
-                *g = weights[flat];
+        for_each_group(layout, k, n, |block, base| {
+            for (g, &off) in group.iter_mut().zip(&offsets) {
+                *g = weights[base + off];
             }
+            let dst = &mut bytes[block * block_bytes..(block + 1) * block_bytes];
             match scheme {
-                QuantScheme::Q4_0 => {
-                    bytes.extend_from_slice(&BlockQ4_0::quantize(&group).to_bytes())
-                }
-                QuantScheme::Q8_0 => {
-                    bytes.extend_from_slice(&BlockQ8_0::quantize(&group).to_bytes())
-                }
+                QuantScheme::Q4_0 => dst.copy_from_slice(&BlockQ4_0::quantize(&group).to_bytes()),
+                QuantScheme::Q8_0 => dst.copy_from_slice(&BlockQ8_0::quantize(&group).to_bytes()),
             }
-        }
+        });
         QuantizedMatrix {
             k,
             n,
@@ -182,28 +203,144 @@ impl QuantizedMatrix {
     /// layout permutation), for error measurement and reference math.
     pub fn dequantize(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.k * self.n];
-        for b in 0..self.num_blocks() {
+        let offsets = group_offsets(self.layout, self.n);
+        for_each_group(self.layout, self.k, self.n, |block, base| {
             let vals: [f32; GROUP_SIZE] = match self.scheme {
-                QuantScheme::Q4_0 => self.block_q4(b).dequantize(),
-                QuantScheme::Q8_0 => self.block_q8(b).dequantize(),
+                QuantScheme::Q4_0 => self.block_q4(block).dequantize(),
+                QuantScheme::Q8_0 => self.block_q8(block).dequantize(),
             };
-            for (i, &v) in vals.iter().enumerate() {
-                let pos = b * GROUP_SIZE + i;
-                let flat = match self.layout {
-                    WeightLayout::ColumnMajorGroups => colmajor_stream_index(pos, self.k, self.n),
-                    WeightLayout::HmxTileGroups => hmx_stream_index(pos, self.k, self.n),
-                };
-                out[flat] = v;
+            for (&v, &off) in vals.iter().zip(&offsets) {
+                out[base + off] = v;
             }
-        }
+        });
         out
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use hexsim::hmx::tile_elem_offset;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
     use crate::synth::gaussian_matrix;
+
+    /// Oracle: flat element index (into row-major `W[k][n]`) of the `pos`-th
+    /// element in the HMX stream order: column-major tiles, two-row
+    /// interleave inside.
+    fn hmx_stream_index(pos: usize, k: usize, n: usize) -> usize {
+        let tile_elems = TILE_DIM * TILE_DIM;
+        let k_tiles = k / TILE_DIM;
+        let tile_idx = pos / tile_elems;
+        let within = pos % tile_elems;
+        // Column-major tile order: k-tile varies fastest (Figure 4b).
+        let n_tile = tile_idx / k_tiles;
+        let k_tile = tile_idx % k_tiles;
+        // Invert the interleaved within-tile offset: offset -> (row, col).
+        let pair = within / (TILE_DIM * 2);
+        let slot = within % (TILE_DIM * 2);
+        let col = slot / 2;
+        let row = pair * 2 + slot % 2;
+        debug_assert_eq!(tile_elem_offset(row, col), within * 2);
+        let kk = k_tile * TILE_DIM + row;
+        let nn = n_tile * TILE_DIM + col;
+        kk * n + nn
+    }
+
+    /// Oracle: flat element index of the `pos`-th element in conventional
+    /// column-major group order (whole column of `W`, k-major, column by
+    /// column).
+    fn colmajor_stream_index(pos: usize, k: usize, n: usize) -> usize {
+        let col = pos / k;
+        let row = pos % k;
+        row * n + col
+    }
+
+    fn stream_index(layout: WeightLayout, pos: usize, k: usize, n: usize) -> usize {
+        match layout {
+            WeightLayout::ColumnMajorGroups => colmajor_stream_index(pos, k, n),
+            WeightLayout::HmxTileGroups => hmx_stream_index(pos, k, n),
+        }
+    }
+
+    /// Oracle `quantize`: gathers each block element by element.
+    fn quantize_oracle(
+        w: &[f32],
+        k: usize,
+        n: usize,
+        scheme: QuantScheme,
+        layout: WeightLayout,
+    ) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for b in 0..k * n / GROUP_SIZE {
+            let group: [f32; GROUP_SIZE] =
+                std::array::from_fn(|i| w[stream_index(layout, b * GROUP_SIZE + i, k, n)]);
+            match scheme {
+                QuantScheme::Q4_0 => {
+                    bytes.extend_from_slice(&BlockQ4_0::quantize(&group).to_bytes())
+                }
+                QuantScheme::Q8_0 => {
+                    bytes.extend_from_slice(&BlockQ8_0::quantize(&group).to_bytes())
+                }
+            }
+        }
+        bytes
+    }
+
+    /// Oracle `dequantize`: scatters each block element by element.
+    fn dequantize_oracle(qm: &QuantizedMatrix) -> Vec<f32> {
+        let mut out = vec![0.0f32; qm.k * qm.n];
+        for b in 0..qm.num_blocks() {
+            let vals = match qm.scheme {
+                QuantScheme::Q4_0 => qm.block_q4(b).dequantize(),
+                QuantScheme::Q8_0 => qm.block_q8(b).dequantize(),
+            };
+            for (i, v) in vals.into_iter().enumerate() {
+                out[stream_index(qm.layout, b * GROUP_SIZE + i, qm.k, qm.n)] = v;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn strip_walk_matches_per_element_oracle_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x57a1_9e0d);
+        for case in 0..24u64 {
+            let k = 32 * rng.gen_range(1..=8usize);
+            let n = 32 * rng.gen_range(1..=8usize);
+            let w = gaussian_matrix(k, n, case, 1.0, 0.02);
+            for layout in [WeightLayout::ColumnMajorGroups, WeightLayout::HmxTileGroups] {
+                // The walk visits every block exactly once and places every
+                // element where the oracle does.
+                let offsets = group_offsets(layout, n);
+                let mut visits = vec![0u32; k * n / GROUP_SIZE];
+                for_each_group(layout, k, n, |block, base| {
+                    visits[block] += 1;
+                    for (i, &off) in offsets.iter().enumerate() {
+                        let pos = block * GROUP_SIZE + i;
+                        assert_eq!(base + off, stream_index(layout, pos, k, n));
+                    }
+                });
+                assert!(visits.iter().all(|&v| v == 1), "{k}x{n} {layout:?}");
+                for scheme in [QuantScheme::Q4_0, QuantScheme::Q8_0] {
+                    let qm = QuantizedMatrix::quantize(&w, k, n, scheme, layout);
+                    let what = format!("{k}x{n} {layout:?} {scheme:?}");
+                    assert_eq!(
+                        qm.bytes,
+                        quantize_oracle(&w, k, n, scheme, layout),
+                        "{what}"
+                    );
+                    let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(qm.dequantize()),
+                        bits(dequantize_oracle(&qm)),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn hmx_stream_is_a_permutation() {

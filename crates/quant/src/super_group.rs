@@ -13,6 +13,7 @@
 use hexsim::f16::F16;
 
 use crate::block::{BlockQ4_0, BlockQ8_0, GROUP_SIZE};
+use crate::layout::QuantizedMatrix;
 
 /// Q4_0 groups per super-block.
 pub const GROUPS_PER_SUPER: usize = 8;
@@ -148,35 +149,28 @@ impl SuperBlockQ8 {
     }
 }
 
-/// Repacks a stream of Q4_0 block bytes into super-block bytes.
+/// Repacks a matrix's blocks into super-block bytes: each run of eight
+/// blocks becomes their quants concatenated, then their eight scales, the
+/// wire format of [`SuperBlockQ4::to_bytes`] / [`SuperBlockQ8::to_bytes`].
 ///
 /// The block count must be a multiple of 8 (guaranteed for matrices with
 /// dimensions that are multiples of 32 when `k * n >= 256`).
 ///
 /// # Panics
 ///
-/// Panics if `blocks` is not a multiple of eight blocks long.
-pub fn coalesce_q4_stream(blocks: &[BlockQ4_0]) -> Vec<u8> {
-    assert_eq!(blocks.len() % GROUPS_PER_SUPER, 0);
-    let mut out = Vec::with_capacity(blocks.len() / GROUPS_PER_SUPER * SUPER_Q4_BYTES);
-    for chunk in blocks.chunks_exact(GROUPS_PER_SUPER) {
-        let arr: [BlockQ4_0; GROUPS_PER_SUPER] = std::array::from_fn(|i| chunk[i]);
-        out.extend_from_slice(&SuperBlockQ4::from_blocks(&arr).to_bytes());
-    }
-    out
-}
-
-/// Repacks a stream of Q8_0 blocks into super-block bytes.
-///
-/// # Panics
-///
-/// Panics if `blocks` is not a multiple of eight blocks long.
-pub fn coalesce_q8_stream(blocks: &[BlockQ8_0]) -> Vec<u8> {
-    assert_eq!(blocks.len() % GROUPS_PER_SUPER, 0);
-    let mut out = Vec::with_capacity(blocks.len() / GROUPS_PER_SUPER * SUPER_Q8_BYTES);
-    for chunk in blocks.chunks_exact(GROUPS_PER_SUPER) {
-        let arr: [BlockQ8_0; GROUPS_PER_SUPER] = std::array::from_fn(|i| chunk[i]);
-        out.extend_from_slice(&SuperBlockQ8::from_blocks(&arr).to_bytes());
+/// Panics if the matrix does not hold a multiple of eight blocks.
+pub fn coalesce(qm: &QuantizedMatrix) -> Vec<u8> {
+    assert_eq!(qm.num_blocks() % GROUPS_PER_SUPER, 0);
+    let block_bytes = qm.scheme.block_bytes();
+    let mut out = Vec::with_capacity(qm.bytes.len());
+    for run in qm.bytes.chunks_exact(GROUPS_PER_SUPER * block_bytes) {
+        // A block is its 2-byte scale, then its quants.
+        for block in run.chunks_exact(block_bytes) {
+            out.extend_from_slice(&block[2..]);
+        }
+        for block in run.chunks_exact(block_bytes) {
+            out.extend_from_slice(&block[..2]);
+        }
     }
     out
 }
@@ -184,6 +178,8 @@ pub fn coalesce_q8_stream(blocks: &[BlockQ8_0]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{QuantScheme, WeightLayout};
+    use crate::synth::gaussian_matrix;
 
     fn blocks() -> [BlockQ4_0; 8] {
         std::array::from_fn(|g| {
@@ -240,11 +236,39 @@ mod tests {
 
     #[test]
     fn stream_coalescing_sizes() {
-        let b = blocks();
-        let stream = coalesce_q4_stream(&b);
-        assert_eq!(stream.len(), SUPER_Q4_BYTES);
-        let many: Vec<BlockQ4_0> = b.iter().cycle().take(32).copied().collect();
-        assert_eq!(coalesce_q4_stream(&many).len(), 4 * SUPER_Q4_BYTES);
+        let w = gaussian_matrix(32, 64, 5, 1.0, 0.0);
+        for (scheme, super_bytes) in [
+            (QuantScheme::Q4_0, SUPER_Q4_BYTES),
+            (QuantScheme::Q8_0, SUPER_Q8_BYTES),
+        ] {
+            let qm = QuantizedMatrix::quantize(&w, 32, 64, scheme, WeightLayout::HmxTileGroups);
+            assert_eq!(coalesce(&qm).len(), 8 * super_bytes);
+        }
+    }
+
+    #[test]
+    fn coalesce_matches_blockwise_super_blocks() {
+        // The byte stream equals parsing every block and packing each run
+        // of eight through `from_blocks`/`to_bytes`.
+        let (k, n) = (64, 96);
+        let w = gaussian_matrix(k, n, 11, 1.0, 0.02);
+        for layout in [WeightLayout::ColumnMajorGroups, WeightLayout::HmxTileGroups] {
+            let q4 = QuantizedMatrix::quantize(&w, k, n, QuantScheme::Q4_0, layout);
+            let blocks: Vec<BlockQ4_0> = (0..q4.num_blocks()).map(|i| q4.block_q4(i)).collect();
+            let want: Vec<u8> = blocks
+                .chunks_exact(GROUPS_PER_SUPER)
+                .flat_map(|c| SuperBlockQ4::from_blocks(c.try_into().unwrap()).to_bytes())
+                .collect();
+            assert_eq!(coalesce(&q4), want, "{layout:?} Q4_0");
+
+            let q8 = QuantizedMatrix::quantize(&w, k, n, QuantScheme::Q8_0, layout);
+            let blocks: Vec<BlockQ8_0> = (0..q8.num_blocks()).map(|i| q8.block_q8(i)).collect();
+            let want: Vec<u8> = blocks
+                .chunks_exact(GROUPS_PER_SUPER)
+                .flat_map(|c| SuperBlockQ8::from_blocks(c.try_into().unwrap()).to_bytes())
+                .collect();
+            assert_eq!(coalesce(&q8), want, "{layout:?} Q8_0");
+        }
     }
 
     #[test]
