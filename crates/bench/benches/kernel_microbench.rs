@@ -2,7 +2,8 @@
 //!
 //! Unlike the figure/table harnesses (which report *simulated device*
 //! latencies), these measure the host-side execution speed of the
-//! bit-exact functional paths — useful when optimizing the simulator
+//! bit-exact functional paths, plus the cost-only forward pass that prices
+//! every simulated serving step — useful when optimizing the simulator
 //! itself and as a regression guard for the hot loops.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -340,9 +341,44 @@ fn bench_hmx_tile(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_cost_only_forward(c: &mut Criterion) {
+    // Host cost of pricing one step in cost-only mode, the path every
+    // serving, thermal and Best-of-N simulation takes per step: a
+    // Qwen-1.5B batch-16 decode step at context 512 and a 512-token
+    // prefill. Each iteration resets the KV lengths so the shapes repeat.
+    use edgellm::{KvCache, Model, ModelId};
+    use htpops::gemm::DequantVariant;
+    let mut group = c.benchmark_group("cost_only_forward");
+    let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::CostOnly);
+    let model = Model::new(&mut ctx, ModelId::Qwen1_5B, DequantVariant::CoalescedLut, 1).unwrap();
+    let (batch, ctx_len) = (16usize, 512usize);
+    let mut cache = KvCache::new(&mut ctx, &model.cfg, batch, batch * (ctx_len + 1)).unwrap();
+    let tokens = vec![0u32; batch];
+    group.bench_function("qwen1_5b_decode_b16_ctx512", |b| {
+        b.iter(|| {
+            for seq in 0..batch {
+                cache.fast_fill(seq, ctx_len);
+            }
+            let out = model.decode_step(&mut ctx, &mut cache, &tokens).unwrap();
+            out.cost.wall_secs()
+        })
+    });
+    cache.free(&mut ctx);
+    let mut cache = KvCache::new(&mut ctx, &model.cfg, 1, 512).unwrap();
+    let prompt = vec![0u32; 512];
+    group.bench_function("qwen1_5b_prefill_512", |b| {
+        b.iter(|| {
+            cache.reset_seq(0);
+            let out = model.prefill(&mut ctx, &mut cache, 0, &prompt).unwrap();
+            out.cost.wall_secs()
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_f16_conversion, bench_lut_dequant, bench_weight_quant, bench_softmax, bench_attention_host, bench_lm_head_row, bench_verify_argmax, bench_hmx_tile
+    targets = bench_f16_conversion, bench_lut_dequant, bench_weight_quant, bench_softmax, bench_attention_host, bench_lm_head_row, bench_verify_argmax, bench_hmx_tile, bench_cost_only_forward
 }
 criterion_main!(benches);

@@ -244,10 +244,21 @@ pub struct FleetGateway {
 impl FleetGateway {
     /// Validates the fleet (every worker must pass the `fits` gate) and
     /// measures the dispatch oracle for each worker.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Unsupported`] for an empty fleet or a chunked prefill
+    /// of zero tokens per chunk; any error from planning a worker.
     pub fn new(fleet: FleetSpec, config: GatewayConfig) -> SimResult<Self> {
-        assert!(!fleet.workers.is_empty(), "fleet needs at least one worker");
-        if let PrefillMode::Chunked { chunk_tokens } = config.prefill {
-            assert!(chunk_tokens >= 1, "prefill chunks carry at least one token");
+        if fleet.workers.is_empty() {
+            return Err(SimError::Unsupported {
+                reason: "fleet needs at least one worker".into(),
+            });
+        }
+        if config.prefill == (PrefillMode::Chunked { chunk_tokens: 0 }) {
+            return Err(SimError::Unsupported {
+                reason: "prefill chunks carry at least one token".into(),
+            });
         }
         let oracles = fleet
             .workers
@@ -270,7 +281,27 @@ impl FleetGateway {
     /// need not be sorted; requests are processed in arrival order (ties
     /// by id). Deterministic: identical inputs produce an identical
     /// report.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Unsupported`] if two requests share an id; any error
+    /// from building or stepping a worker.
     pub fn serve_trace(&self, trace: &[Request]) -> SimResult<ServingReport> {
+        // Duplicate ids would corrupt every deterministic tie-break in
+        // the queue and dispatcher — reject the trace outright (compose
+        // traces with `merge_traces`/`replay_trace_from`).
+        let mut ids: Vec<u64> = trace.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return Err(SimError::Unsupported {
+                reason: format!(
+                    "serve_trace requires unique request ids (id {} repeats); compose \
+                     traces with merge_traces or replay_trace_from instead of concatenating",
+                    w[0]
+                ),
+            });
+        }
+
         let n = self.fleet.workers.len();
         // Build each worker's runtime exactly like the measurement
         // pipeline: shard plan -> sharded cost-only context -> streamed
@@ -313,17 +344,6 @@ impl FleetGateway {
                 budget,
             )?);
         }
-
-        // Duplicate ids would corrupt every deterministic tie-break in
-        // the queue and dispatcher — reject the trace outright (compose
-        // traces with `merge_traces`/`replay_trace_from`).
-        let mut ids: Vec<u64> = trace.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        assert!(
-            ids.windows(2).all(|w| w[0] != w[1]),
-            "serve_trace requires unique request ids; compose traces with \
-             merge_traces or replay_trace_from instead of concatenating"
-        );
 
         // Tenant table in first-appearance (trace index) order — the
         // order TenantReport rows use — with each tenant's fair-share
@@ -1225,8 +1245,17 @@ mod tests {
         }
     }
 
+    fn assert_unsupported<T>(result: SimResult<T>, needle: &str) {
+        match result {
+            Err(SimError::Unsupported { reason }) => {
+                assert!(reason.contains(needle), "unexpected reason: {reason}")
+            }
+            Err(e) => panic!("expected Unsupported({needle}), got {e}"),
+            Ok(_) => panic!("expected Unsupported({needle}), got Ok"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "unique request ids")]
     fn serve_trace_rejects_duplicate_ids() {
         let t = TenantSpec::interactive("chat");
         let mut trace = replay_trace(&t, &[(0.0, 32, 4)]);
@@ -1236,7 +1265,34 @@ mod tests {
             GatewayConfig::default(),
         )
         .unwrap();
-        let _ = gw.serve_trace(&trace);
+        assert_unsupported(gw.serve_trace(&trace), "unique request ids");
+    }
+
+    #[test]
+    fn gateway_rejects_an_empty_fleet() {
+        let fleet = FleetSpec {
+            model: ModelId::Qwen1_5B,
+            workers: Vec::new(),
+        };
+        assert_unsupported(
+            FleetGateway::new(fleet, GatewayConfig::default()),
+            "at least one worker",
+        );
+    }
+
+    #[test]
+    fn gateway_rejects_zero_token_prefill_chunks() {
+        let config = GatewayConfig {
+            prefill: PrefillMode::Chunked { chunk_tokens: 0 },
+            ..GatewayConfig::default()
+        };
+        assert_unsupported(
+            FleetGateway::new(
+                FleetSpec::single(ModelId::Qwen1_5B, DeviceProfile::v75(), false),
+                config,
+            ),
+            "at least one token",
+        );
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! operations compute nothing: their result registers read as zero. A
 //! cost-only context also holds no TCM bytes: TCM reads return zeros,
 //! writes store nothing, and every TCM bounds check panics exactly where
-//! it panics in functional mode.
+//! it panics in functional mode. Kernels and forward passes built on a
+//! cost-only context hold no host activation bytes either, so pricing a
+//! step costs the same host memory whatever its number of rows.
 //!
 //! Cost conventions (see `crates/hexsim/src/cost.rs`):
 //! - compute instructions charge packets (1 vector-clock cycle each, except
@@ -48,6 +50,13 @@ pub enum ExecMode {
     /// TCM writes (`tcm_poke`, `vmem_st_tcm`, `vscatter_h`, `dma_h2t`,
     /// `hmx_store_acc`) store nothing, and bounds are checked exactly as in
     /// functional mode, so an out-of-TCM access panics in both modes.
+    ///
+    /// The kernels and the model forward pass above hold no host bytes
+    /// that cost-only never reads: no activation or attention-output
+    /// buffers, no per-m-tile HMX accumulators or softmax running state,
+    /// and no per-kernel dummy rows (the replayed misc kernels of one
+    /// forward share one scratch row). A cost-only forward's host memory
+    /// does not grow with its rows (`edgellm`'s `cost_only_alloc` test).
     CostOnly,
 }
 

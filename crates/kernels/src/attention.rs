@@ -172,10 +172,12 @@ impl<'a> FlashAttention<'a> {
         ctx.cost.charge_dma((2 * g * nq * d * 2) as u64);
         FlashAttentionBreakdown::add_delta(&mut bd.load_store, &ctx.cost.delta_since(&snap, ""));
 
-        // Softmax running state per query head and row.
-        let mut m = vec![F16::NEG_INFINITY; g * nq];
-        let mut l = vec![F16::ZERO; g * nq];
-        let mut o = vec![0.0f32; if functional { g * nq * d } else { 0 }];
+        // Softmax running state per query head and row (functional only:
+        // cost-only charges from shapes and holds no state).
+        let state_rows = if functional { g * nq } else { 0 };
+        let mut m = vec![F16::NEG_INFINITY; state_rows];
+        let mut l = vec![F16::ZERO; state_rows];
+        let mut o = vec![0.0f32; state_rows * d];
 
         let n_blocks = nkv.div_ceil(self.kv_block);
         let run_blocks: usize = if functional { n_blocks } else { 1 };

@@ -312,6 +312,11 @@ fn dequant_tile(
     }
 }
 
+/// The accumulator cost-only writebacks pass: `hmx_store_acc` reads no
+/// accumulator in cost-only mode, so one shared zero tile stands in for
+/// every m-tile's.
+static ZERO_ACC: HmxAccumulator = HmxAccumulator::new();
+
 /// Runs the mixed-precision GEMM `Y[m, n] = X[m, k] x W[k, n]`.
 ///
 /// (The output writeback loop indexes rows and columns directly — the
@@ -374,7 +379,13 @@ pub fn gemm_mixed(
     let env = DequantEnv::new(ctx);
     let (_, cost) = ctx.phase("gemm", |ctx| {
         stage_activations(ctx, act, cfg.m, cfg.k, act_area);
-        let mut accs: Vec<HmxAccumulator> = (0..m_tiles).map(|_| HmxAccumulator::new()).collect();
+        // One FP32 accumulator per m-tile, functional only: cost-only
+        // charges the same tile-ops and writebacks but reads no MAC result.
+        let mut accs: Vec<HmxAccumulator> = if functional {
+            (0..m_tiles).map(|_| HmxAccumulator::new()).collect()
+        } else {
+            Vec::new()
+        };
         let tiles = (n_tiles * k_tiles) as u64;
         ctx.replay_indexed(tiles, |ctx, idx| {
             let nt = (idx as usize) / k_tiles;
@@ -417,19 +428,20 @@ pub fn gemm_mixed(
             dequant_tile(ctx, &env, cfg, staging, wgt_tile);
             // Multiply-accumulate every activation row-tile against this
             // weight tile.
-            for (mt, acc) in accs.iter_mut().enumerate() {
+            for mt in 0..m_tiles {
                 match act_area {
                     Some(area) => {
                         let act_tile = area.offset(((mt * k_tiles + kt) * TILE_BYTES) as u32);
-                        ctx.hmx_matmul(acc, act_tile, wgt_tile);
+                        ctx.hmx_matmul(&mut accs[mt], act_tile, wgt_tile);
                     }
                     None => ctx.hmx_charge(1),
                 }
             }
             if kt == k_tiles - 1 {
                 // Write back this output tile column.
-                for (mt, acc) in accs.iter().enumerate() {
+                for mt in 0..m_tiles {
                     let out_tile = out_area.offset((mt * TILE_BYTES) as u32);
+                    let acc = accs.get(mt).unwrap_or(&ZERO_ACC);
                     ctx.hmx_store_acc(acc, out_tile, None, None);
                     ctx.cost.charge_dma(TILE_BYTES as u64);
                     if functional {

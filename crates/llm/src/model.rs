@@ -353,6 +353,7 @@ impl Model {
         prefill: bool,
         cost: &mut StepCost,
         stages: &mut Vec<LayerStage>,
+        dummy: &mut [F16],
     ) -> SimResult<()> {
         let mut next_boundary = self.schedule.boundaries.iter().peekable();
         let mut next_stream = self.schedule.streamed.iter().peekable();
@@ -375,7 +376,9 @@ impl Model {
                 0.0
             };
             let before = *cost;
-            self.layer_forward(ctx, layer, x, rows, cache, seqs, positions, prefill, cost)?;
+            self.layer_forward(
+                ctx, layer, x, rows, cache, seqs, positions, prefill, cost, dummy,
+            )?;
             let dispatch_secs = LAYER_DISPATCH_OPS * self.op_dispatch_secs;
             let npu_secs = ((cost.gemm_secs - before.gemm_secs)
                 + (cost.attn_secs - before.attn_secs)
@@ -415,8 +418,22 @@ impl Model {
         (r.out, r.cost.wall_secs)
     }
 
+    /// The host row every replayed misc kernel of one cost-only forward
+    /// runs on: cost-only kernels check lengths but read and write no
+    /// values, so each dummy row is a prefix of this one buffer. It is two
+    /// rows long for the SwiGLU multiply's two operands. Empty in
+    /// functional mode, which runs on the real rows.
+    fn dummy_rows(&self, functional: bool) -> Vec<F16> {
+        let len = if functional {
+            0
+        } else {
+            2 * self.cfg.ffn.max(self.cfg.hidden)
+        };
+        vec![F16::ZERO; len]
+    }
+
     /// Runs misc row kernels over `rows` rows: functional mode applies `f`
-    /// to each real row; cost-only replays one dummy row.
+    /// to each real row of `data`; cost-only replays one row of `dummy`.
     fn per_row(
         ctx: &mut NpuContext,
         functional: bool,
@@ -424,6 +441,7 @@ impl Model {
         row_len: usize,
         mut f: impl FnMut(&mut NpuContext, usize, &mut [F16]),
         data: &mut [F16],
+        dummy: &mut [F16],
     ) {
         if functional {
             for r in 0..rows {
@@ -431,8 +449,8 @@ impl Model {
                 f(ctx, r, &mut data[lo..hi]);
             }
         } else {
-            let mut dummy = vec![F16::ONE; row_len];
-            ctx.replay(rows as u64, |ctx| f(ctx, 0, &mut dummy));
+            let row = &mut dummy[..row_len];
+            ctx.replay(rows as u64, |ctx| f(ctx, 0, row));
         }
     }
 
@@ -485,6 +503,7 @@ impl Model {
         positions: &[usize],
         prefill: bool,
         cost: &mut StepCost,
+        dummy: &mut [F16],
     ) -> SimResult<()> {
         let cfg = &self.cfg;
         let functional = ctx.mode == ExecMode::Functional;
@@ -494,14 +513,14 @@ impl Model {
         // Attention RMSNorm.
         let snap = ctx.cost.snapshot();
         let mut normed = x.to_vec();
-        let norm_w = lw.attn_norm.clone();
         Self::per_row(
             ctx,
             functional,
             rows,
             hidden,
-            |ctx, _, row| misc::rmsnorm(ctx, row, &norm_w, 1e-5),
+            |ctx, _, row| misc::rmsnorm(ctx, row, &lw.attn_norm, 1e-5),
             &mut normed,
+            dummy,
         );
         cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
 
@@ -538,9 +557,9 @@ impl Model {
                 }
             }
         } else {
-            let mut dummy = vec![F16::ONE; d];
+            let head = &mut dummy[..d];
             ctx.replay((rows * (cfg.heads + cfg.kv_heads)) as u64, |ctx| {
-                misc::rope(ctx, &mut dummy, 1, cfg.rope_theta)
+                misc::rope(ctx, head, 1, cfg.rope_theta)
             });
         }
         if prefill {
@@ -575,7 +594,11 @@ impl Model {
         // Attention per sequence, per KV head, GQA-group batched.
         let g = cfg.gqa_group();
         let fa = FlashAttention::new(&self.lut, self.exp_method, g);
-        let mut attn_out = vec![F16::ZERO; rows * q_dim];
+        let mut attn_out = if functional {
+            vec![F16::ZERO; rows * q_dim]
+        } else {
+            Vec::new()
+        };
         if prefill {
             // One sequence, `rows` query positions.
             let s = seqs[0];
@@ -666,14 +689,14 @@ impl Model {
         // FFN: norm, gate/up, SiLU, mul, down (Q8), residual.
         let snap = ctx.cost.snapshot();
         let mut ffn_in = x.to_vec();
-        let ffn_norm = lw.ffn_norm.clone();
         Self::per_row(
             ctx,
             functional,
             rows,
             hidden,
-            |ctx, _, row| misc::rmsnorm(ctx, row, &ffn_norm, 1e-5),
+            |ctx, _, row| misc::rmsnorm(ctx, row, &lw.ffn_norm, 1e-5),
             &mut ffn_in,
+            dummy,
         );
         cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
 
@@ -689,15 +712,14 @@ impl Model {
             cfg.ffn,
             |ctx, _, row| misc::silu(ctx, row),
             &mut gate,
+            dummy,
         );
         if functional {
             misc::mul_inplace(ctx, &mut gate, &up);
         } else {
-            let mut dummy = vec![F16::ONE; cfg.ffn];
-            let dummy2 = dummy.clone();
-            ctx.replay(rows as u64, |ctx| {
-                misc::mul_inplace(ctx, &mut dummy, &dummy2)
-            });
+            let (a, b) = dummy.split_at_mut(cfg.ffn);
+            let b = &b[..cfg.ffn];
+            ctx.replay(rows as u64, |ctx| misc::mul_inplace(ctx, a, b));
         }
         cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
 
@@ -791,6 +813,7 @@ impl Model {
         cost.cpu_secs += embed_secs;
 
         let mut layer_stages = Vec::with_capacity(self.cfg.layers);
+        let mut dummy = self.dummy_rows(functional);
         self.walk_layers(
             ctx,
             &mut x,
@@ -801,6 +824,7 @@ impl Model {
             true,
             &mut cost,
             &mut layer_stages,
+            &mut dummy,
         )?;
 
         // Final norm + logits: last position only for generation, every
@@ -808,18 +832,18 @@ impl Model {
         let head_rows = if all_logits { rows } else { 1 };
         let first_row = rows - head_rows;
         let snap = ctx.cost.snapshot();
-        let final_norm = self.weights.final_norm.clone();
         Self::per_row(
             ctx,
             functional,
             head_rows,
             hidden,
-            |ctx, _, row| misc::rmsnorm(ctx, row, &final_norm, 1e-5),
+            |ctx, _, row| misc::rmsnorm(ctx, row, &self.weights.final_norm, 1e-5),
             if functional {
                 &mut x[first_row * hidden..]
             } else {
                 &mut []
             },
+            &mut dummy,
         );
         let final_npu_secs = ctx.cost.delta_since(&snap, "").wall_secs;
         cost.misc_secs += final_npu_secs;
@@ -921,6 +945,7 @@ impl Model {
         cost.cpu_secs += embed_secs;
 
         let mut layer_stages = Vec::with_capacity(self.cfg.layers);
+        let mut dummy = self.dummy_rows(functional);
         self.walk_layers(
             ctx,
             &mut x,
@@ -931,17 +956,18 @@ impl Model {
             false,
             &mut cost,
             &mut layer_stages,
+            &mut dummy,
         )?;
 
         let snap = ctx.cost.snapshot();
-        let final_norm = self.weights.final_norm.clone();
         Self::per_row(
             ctx,
             functional,
             batch,
             hidden,
-            |ctx, _, row| misc::rmsnorm(ctx, row, &final_norm, 1e-5),
+            |ctx, _, row| misc::rmsnorm(ctx, row, &self.weights.final_norm, 1e-5),
             &mut x,
+            &mut dummy,
         );
         let final_npu_secs = ctx.cost.delta_since(&snap, "").wall_secs;
         cost.misc_secs += final_npu_secs;
